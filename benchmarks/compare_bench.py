@@ -22,13 +22,17 @@ cost from scheduling-efficiency changes.  Saturation snapshots from
 ``--key knee_throughput`` diffs two ``BENCH_saturation.json`` files.
 ``--events`` is shorthand for ``--key events_per_sec``.
 
-CI runs this twice against the committed snapshot: once over every
-workload informationally (the numbers are machine-dependent, so small
-deltas are hints, not verdicts), and once as a hard gate with
-``--workloads tp-high,dp-high --threshold 0.25`` — a saturated
-workload losing more than a quarter of its cycles/s is an engine
-regression, not runner noise.  Run it locally against a baseline
-produced on the same machine to validate an engine optimisation.
+Two snapshots taken at different scales are not comparable (a k=5
+QUICK run simulates ~1.8x the cycles/s of a k=8 reduced one), so the
+script refuses them: when the files' ``scale``, ``k`` or ``n`` differ
+it names the field and exits 2 without comparing anything.
+
+CI gates with ``--workloads tp-high,dp-high --threshold 0.25`` against
+a baseline it builds on the same runner from the base commit at the
+same scale — a saturated workload losing more than a quarter of its
+cycles/s is an engine regression, not runner noise.  Run it locally
+against a baseline produced on the same machine to validate an engine
+optimisation.
 """
 
 from __future__ import annotations
@@ -39,11 +43,25 @@ import pathlib
 import sys
 from typing import List, Optional
 
+#: Snapshot fields that must agree for two snapshots to be comparable.
+SCALE_FIELDS = ("scale", "k", "n")
 
-def load_rows(path: pathlib.Path) -> dict:
-    """Map workload name -> row for one BENCH_engine.json file."""
-    report = json.loads(path.read_text())
+
+def rows_by_workload(report: dict) -> dict:
+    """Map workload name -> row for one snapshot."""
     return {row["workload"]: row for row in report["workloads"]}
+
+
+def scale_mismatches(baseline: dict, current: dict) -> List[str]:
+    """The :data:`SCALE_FIELDS` whose values differ between snapshots.
+
+    A field absent from both snapshots agrees; absent from one only,
+    it differs.
+    """
+    return [
+        name for name in SCALE_FIELDS
+        if baseline.get(name) != current.get(name)
+    ]
 
 
 def compare(baseline: dict, current: dict, threshold: float,
@@ -156,13 +174,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    baseline = json.loads(args.baseline.read_text())
+    current = json.loads(args.current.read_text())
+    mismatched = scale_mismatches(baseline, current)
+    if mismatched:
+        for name in mismatched:
+            print(
+                f"refusing to compare: {name} differs "
+                f"(baseline {baseline.get(name)!r}, "
+                f"current {current.get(name)!r})",
+                file=sys.stderr,
+            )
+        return 2
     key = "events_per_sec" if args.events else args.key
     workloads = (
         [w for w in args.workloads.split(",") if w]
         if args.workloads else None
     )
     rows, regressions = compare(
-        load_rows(args.baseline), load_rows(args.current),
+        rows_by_workload(baseline), rows_by_workload(current),
         args.threshold, key=key, workloads=workloads,
     )
     print(render(rows, regressions, args.threshold))

@@ -11,20 +11,8 @@ restores the paper-scale parameters under ``REPRO_PAPER_SCALE=1``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
-
-
-def _default_data_kernel() -> bool:
-    """Default for :attr:`SimulationConfig.data_kernel`.
-
-    ``REPRO_DATA_KERNEL=0`` flips the fleet default to the object-walk
-    data phase — CI uses it as a test-matrix dimension so the whole
-    suite runs against both implementations.  Configs that set the
-    field explicitly are unaffected.
-    """
-    return os.environ.get("REPRO_DATA_KERNEL", "1") != "0"
 
 
 @dataclass
@@ -211,19 +199,6 @@ class SimulationConfig:
     #: brute-force scans (pinned by tests/sim/test_determinism.py across
     #: the on/off matrix); the switch exists as the equivalence oracle.
     event_engine: bool = True
-    #: Struct-of-arrays flit-transport kernel (DESIGN.md §12): the data
-    #: movement + ejection phase runs over flat preallocated buffers —
-    #: a vectorized (numpy) predicate pass computes the move/eject
-    #: candidate mask for every non-quiet message at once, and a
-    #: compact ordered applier commits moves, credits, and ejections in
-    #: exactly the order the object walk uses.  Results are
-    #: cycle-for-cycle identical to the object walk (pinned by
-    #: tests/sim/test_determinism.py across the full
-    #: data_kernel × event_engine × fast_forward matrix); the switch
-    #: exists as the equivalence oracle.  Silently ignored when numpy
-    #: is not installed.  The default honors ``REPRO_DATA_KERNEL=0``
-    #: (CI's matrix dimension); explicit settings always win.
-    data_kernel: bool = field(default_factory=_default_data_kernel)
     #: After measurement, keep cycling (no new traffic) until in-flight
     #: messages finish, up to this many extra cycles.
     drain_cycles: int = 4000

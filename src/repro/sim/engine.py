@@ -90,7 +90,6 @@ from repro.network.channel import ChannelBank
 from repro.network.link import ControlQueue, RoundRobinArbiter
 from repro.network.topology import KAryNCube
 from repro.routing.base import Action, RoutingContext
-from repro.sim import kernel as flit_kernel
 from repro.sim import postmortem
 from repro.sim.config import SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError
@@ -300,8 +299,9 @@ class Engine:
         self.data_flits_moved = 0
         #: Data flits handed to a PE over an ejection port.
         self.flits_ejected = 0
-        #: Cycles whose data phase ran through the SoA kernel (rather
-        #: than falling back to the object walk).
+        #: Retired: the SoA data kernel this counted is gone, so it
+        #: always reads 0.  Kept only because the benchmark digest
+        #: (``perfbench/worker.py``) still reads it.
         self.kernel_cycles = 0
         #: Routing-protocol ``decide`` invocations (header decisions).
         self.header_decisions = 0
@@ -385,32 +385,16 @@ class Engine:
         self._ch_src: List[int] = [
             self.topology.channel(ch).src for ch in range(num_ch)
         ]
-        #: SoA flit-transport kernel (DESIGN.md §12): the data phase
-        #: batches its candidate predicate over flat int64 buffers and
-        #: commits through a compact ordered applier.  Byte-identical
-        #: to the object walk, which stays available as the oracle
-        #: (``data_kernel`` off, low-occupancy cycles, or paths too
-        #: long for the bitmask width).
-        self._kern: Optional[flit_kernel.DataKernel] = (
-            flit_kernel.DataKernel(self)
-            if config.data_kernel and flit_kernel.HAVE_NUMPY else None
-        )
-        #: Whether release notifications / resident counts are wired.
-        #: Sticky: survives the kernel disabling itself mid-run (the
-        #: notify callback cannot be unregistered consistently, so the
-        #: counters keep both sides).
-        self._resident_track = self._ev or self._kern is not None
-        if self._resident_track:
+        if self._ev:
             self.channels.set_release_notify(self._note_release)
         #: Reserved-VC count per physical channel.  A channel with
         #: exactly one reserved VC can have at most one data-movement
         #: candidate this cycle (wormhole: one message per VC), so that
-        #: candidate wins arbitration unopposed — the event path (and
-        #: the kernel applier) then moves the flit inline during the
-        #: scan instead of routing it through the per-channel candidate
-        #: buckets.  Maintained when the event engine or the kernel is
-        #: on (reserve increments, the release notification
-        #: decrements).
+        #: candidate wins arbitration unopposed — the event path then
+        #: moves the flit inline during the scan instead of routing it
+        #: through the per-channel candidate buckets.  Maintained when
+        #: the event engine is on (reserve increments, the release
+        #: notification decrements).
         self._ch_resident: List[int] = [0] * num_ch
         #: Launch-phase attention set: nodes whose injection-queue head
         #: may act this cycle (new arrival, head finished injecting,
@@ -565,7 +549,7 @@ class Engine:
         self._phase_dynamic_faults()
         self._phase_routing_decisions()
         used_by_control = self._phase_control_transfers()
-        self._phase_data_movement(used_by_control)
+        self._walk_data_movement(used_by_control)
         self._apply_staged_gate_updates()
         self._phase_traffic()
 
@@ -640,20 +624,6 @@ class Engine:
         """All messages terminal and every virtual channel free."""
         return not self.active and self.channels.all_free()
 
-    def sync_data_state(self) -> None:
-        """Make object-level pipeline state (``buffered``/``crossed``/
-        ``vc.grants``) current for every message.
-
-        The SoA kernel keeps the object lists authoritative (its
-        mirror is derived bitmask state), so today this is a no-op
-        pass-through; consumers that walk the object lists (auditor,
-        postmortem, traces, results, tests) still call it first so
-        they stay correct if the data phase ever defers object
-        updates again.
-        """
-        if self._kern is not None:
-            self._kern.sync_all()
-
     def _note_release(self, channel_id: int) -> None:
         """VC release notification (every release funnels through here).
 
@@ -687,8 +657,6 @@ class Engine:
             msg.header_phase = HeaderPhase.PENDING
             self.active[msg.msg_id] = msg
             self.pending[msg.msg_id] = msg
-            if self._kern is not None:
-                self._kern.attach(msg)
         return msg
 
     # ==================================================================
@@ -889,10 +857,7 @@ class Engine:
         # The path grows a position and the head gate state changes:
         # the data pipeline may have new work.
         msg.dm_quiet = False
-        kern = self._kern
-        if kern is not None:
-            kern.touch(msg)
-        if self._resident_track:
+        if self._ev:
             self._ch_resident[vc.channel_id] += 1
         k = decision.k
         if self.protocol.flow_control.kind is FlowControlKind.PCS:
@@ -946,8 +911,6 @@ class Engine:
         # clear it.
         msg.backtrack_lock = j - 1
         msg.dm_quiet = False
-        if self._kern is not None:
-            self._kern.touch(msg)
         self.pending.pop(msg.msg_id, None)
         self._progress = True
         reverse_ch = self.topology.reverse_channel_id(
@@ -1079,8 +1042,6 @@ class Engine:
         # the head data gate may have opened (possibly into ejection).
         msg.parked = False
         msg.dm_quiet = False
-        if self._kern is not None:
-            self._kern.touch(msg)
         msg.header_router = p
         msg.header_phase = HeaderPhase.PENDING
         self.protocol.on_arrival(self.ctx, msg)
@@ -1135,11 +1096,6 @@ class Engine:
             return
         msg.parked = False
         msg.dm_quiet = False
-        kern = self._kern
-        if kern is not None:
-            # The pop below reshapes the path lists; the row resyncs
-            # from them on the next kernel cycle.
-            kern.touch(msg)
         msg.backtrack_lock = -1
         popped_vc = msg.path[-1]
         dim, direction = msg.arrival_dims[-1]
@@ -1207,15 +1163,12 @@ class Engine:
 
     def _apply_staged_gate_updates(self) -> None:
         """Commit this cycle's acknowledgment effects (end-of-cycle)."""
-        kern = self._kern
         if self._staged_acks:
             for msg, p, delta in self._staged_acks:
                 if p < len(msg.acks_at):
                     msg.acks_at[p] += delta
                 # A gate input changed: the data pipeline may move now.
                 msg.dm_quiet = False
-                if kern is not None:
-                    kern.touch(msg)
             self._staged_acks.clear()
         if self._staged_path:
             for msg, p, establish in self._staged_path:
@@ -1224,8 +1177,6 @@ class Engine:
                 if establish:
                     msg.path_established = True
                 msg.dm_quiet = False
-                if kern is not None:
-                    kern.touch(msg)
             self._staged_path.clear()
 
     # ---------------- teardown token arrivals --------------------------
@@ -1282,8 +1233,6 @@ class Engine:
         if vc.owner == msg.msg_id:
             vc.release()
         msg.released[idx] = True
-        if self._kern is not None:
-            self._kern.on_release(msg, idx)
 
     def _kill_buffer(self, msg: Message, idx: int) -> None:
         if 0 <= idx < len(msg.buffered) and msg.buffered[idx]:
@@ -1299,9 +1248,6 @@ class Engine:
         """A dynamic fault severed ``msg``'s path at link ``fail_idx``."""
         if msg.teardown or msg.is_terminal():
             return
-        if self._kern is not None:
-            # The message leaves the data phase: free its row.
-            self._kern.drop(msg)
         msg.teardown = True
         msg.teardown_reason = "fault"
         self.teardown_counts["fault"] = (
@@ -1342,8 +1288,6 @@ class Engine:
     def _teardown(self, msg: Message, reason: str, from_router: int) -> None:
         if msg.teardown or msg.is_terminal():
             return
-        if self._kern is not None:
-            self._kern.drop(msg)
         msg.teardown = True
         msg.teardown_reason = reason
         self.teardown_counts[reason] = (
@@ -1432,18 +1376,8 @@ class Engine:
     # ==================================================================
     # Phase 4: data movement
     # ==================================================================
-    def _phase_data_movement(self, used_by_control: Set[int]) -> None:
-        kern = self._kern
-        if kern is not None and kern.data_phase(used_by_control):
-            self.kernel_cycles += 1
-            return
-        self._walk_data_movement(used_by_control)
-
     def _walk_data_movement(self, used_by_control: Set[int]) -> None:
-        """The object-walk data phase — the kernel's equivalence
-        oracle, and the live path for low-occupancy cycles, runs with
-        ``data_kernel`` off, and paths beyond the kernel's mask width.
-        """
+        """Move at most one data flit per physical channel, then eject."""
         depth = self._depth
         ev = self._ev
         # channel id -> [(vc index, message, position, is_last, vc), ...]
@@ -1810,8 +1744,6 @@ class Engine:
                 head.header_phase = pending_phase
                 self.active[head.msg_id] = head
                 self.pending[head.msg_id] = head
-                if self._kern is not None:
-                    self._kern.attach(head)
                 self._progress = True
                 break
             if not queue:
@@ -1847,8 +1779,6 @@ class Engine:
         count_killed: bool = False,
         superseded: bool = False,
     ) -> None:
-        if self._kern is not None:
-            self._kern.drop(msg)
         if count_delivered:
             self.delivered_messages += 1
         if count_dropped:

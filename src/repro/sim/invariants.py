@@ -93,9 +93,6 @@ class InvariantAuditor:
         """Run every check; returns (and counts) all violations found."""
         self.checks_run += 1
         engine = self.engine
-        # The SoA kernel holds live occupancy in its flat buffers;
-        # reconstruct the object lists before walking them.
-        engine.sync_data_state()
         out: List[InvariantViolation] = []
         self._check_messages(engine, out)
         self._check_channel_bank(engine, out)

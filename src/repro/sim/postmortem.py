@@ -142,9 +142,6 @@ def _wanted_channels(engine, msg: Message) -> List[int]:
 
 def diagnose(engine) -> DeadlockDiagnosis:
     """Build the wait-for graph and its cycles from live engine state."""
-    # The SoA kernel holds live occupancy in its flat buffers;
-    # reconstruct the object lists before reading them.
-    engine.sync_data_state()
     blocked = _blocked_messages(engine)
     edges: List[WaitEdge] = []
     for msg in blocked:

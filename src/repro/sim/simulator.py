@@ -157,9 +157,6 @@ class NetworkSimulator:
         return self.results()
 
     def results(self) -> RunResult:
-        # Settle lazily-committed VC grant credits and reconstruct
-        # object-level occupancy before summarizing.
-        self.engine.sync_data_state()
         return summarize(self.engine, self.config.warmup_cycles)
 
 

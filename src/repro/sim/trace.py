@@ -63,9 +63,6 @@ class MessageTracer:
     # ------------------------------------------------------------------
     def sample(self) -> TraceSample:
         """Record the message's current state."""
-        # With the SoA kernel on, occupancy lives in its flat buffers
-        # between cycles; make the object lists current first.
-        self.engine.sync_data_state()
         msg = self.message
         header_router: Optional[int] = msg.header_router
         backtracking = msg.header.backtrack

@@ -23,9 +23,9 @@ def _rows(**cps):
     }
 
 
-def _write_report(path, **cps):
+def _write_report(path, scale="quick", k=5, n=2, **cps):
     path.write_text(json.dumps({
-        "scale": "quick", "k": 5, "n": 2,
+        "scale": scale, "k": k, "n": n,
         "workloads": list(_rows(**cps).values()),
     }))
 
@@ -117,3 +117,35 @@ def test_main_exit_codes_and_render(tmp_path, capsys):
         [str(base), str(cur), "--threshold", "0.6"]
     ) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_main_refuses_mismatched_scale(tmp_path, capsys):
+    """A QUICK (k=5) run is not comparable to a reduced (k=8)
+    snapshot: the script names the differing fields and exits 2
+    instead of issuing a verdict."""
+    base = tmp_path / "base.json"
+    cur = tmp_path / "cur.json"
+    _write_report(base, scale="reduced", k=8, **{"tp-high": 1000.0})
+    _write_report(cur, **{"tp-high": 1000.0})
+    assert compare_bench.main([str(base), str(cur)]) == 2
+    captured = capsys.readouterr()
+    assert "scale" in captured.err and "k differs" in captured.err
+    assert "n differs" not in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    # A field recorded on one side only is a mismatch too.
+    report = json.loads(cur.read_text())
+    del report["n"]
+    base.write_text(json.dumps(report))
+    assert compare_bench.main([str(base), str(cur)]) == 2
+    assert "n differs" in capsys.readouterr().err
+
+
+def test_main_matching_scale_still_compares(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    cur = tmp_path / "cur.json"
+    _write_report(base, scale="reduced", k=8, **{"tp-high": 1000.0})
+    _write_report(cur, scale="reduced", k=8, **{"tp-high": 990.0})
+    assert compare_bench.main([str(base), str(cur)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    _write_report(cur, scale="reduced", k=8, **{"tp-high": 500.0})
+    assert compare_bench.main([str(base), str(cur)]) == 1
