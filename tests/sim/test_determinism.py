@@ -26,6 +26,11 @@ switch: every pinned config runs with the ready-set scheduler forced on
 and forced off at each fast-forward setting, and the four paths must be
 byte-identical — the brute-force scans are the oracle the event paths
 are measured against.
+
+The SoA flit-transport kernel is retired (DESIGN.md §12): the object
+walk is the only data phase.  Its old ``REPRO_DATA_KERNEL`` on/off
+override must stay inert at every (event engine, fast-forward) setting,
+and the retired ``Engine.kernel_cycles`` counter must never advance.
 """
 
 import dataclasses
@@ -65,6 +70,22 @@ def run_ev_pair(cfg: SimulationConfig, fast_forward: bool = True):
         cfg.with_(event_engine=False, fast_forward=fast_forward)
     ).run()
     return on, off
+
+
+def run_dk_pair(monkeypatch, cfg: SimulationConfig,
+                event_engine: bool = True, fast_forward: bool = True):
+    """The same config with the retired kernel override set on and off.
+
+    Returns both RunResults and the retired kernel counter of each run.
+    """
+    cfg = cfg.with_(event_engine=event_engine, fast_forward=fast_forward)
+    runs = []
+    for flag in ("1", "0"):
+        monkeypatch.setenv("REPRO_DATA_KERNEL", flag)
+        sim = NetworkSimulator(cfg)
+        runs.append((sim.run(), sim.engine.kernel_cycles))
+    (on, on_kc), (off, off_kc) = runs
+    return on, off, (on_kc, off_kc)
 
 
 def assert_identical(a, b):
@@ -524,3 +545,22 @@ def test_parallel_run_configs_event_engine_reconfig_composition():
     assert any(r.reconfigurations > 0 for r in on)
     for a, b in zip(on, off):
         assert_identical(a, b)
+
+
+# ======================================================================
+# Retired SoA data kernel: its on/off override is inert at every
+# (event engine, fast-forward) setting (DESIGN.md §12).
+# ======================================================================
+@pytest.mark.parametrize("ff", [True, False], ids=["ff-on", "ff-off"])
+@pytest.mark.parametrize("ev", [True, False], ids=["ev-on", "ev-off"])
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_data_kernel_on_off_identical(monkeypatch, name, ev, ff):
+    """The object walk is the only data phase: every pinned config must
+    produce a byte-identical RunResult with the old kernel override on
+    and off, at every scheduler setting, and no kernel cycle may run."""
+    on, off, kernel_cycles = run_dk_pair(
+        monkeypatch, PINNED_CONFIGS[name](), event_engine=ev,
+        fast_forward=ff,
+    )
+    assert kernel_cycles == (0, 0), "a retired kernel data phase ran"
+    assert_identical(on, off)
